@@ -22,7 +22,7 @@
 //!    sample-bounded strides),
 //! 6. the mobility-week sleep fast path vs the NoFastPath legacy
 //!    kernel,
-//! 7. the batched fleet kernel vs the same salted cells run as
+//! 7. the fleet kernel vs the same salted cells run as
 //!    independent scalar simulations (aggregates asserted bit-equal).
 //!
 //! Every comparison also lands in
@@ -461,9 +461,9 @@ fn compare_then_bench(c: &mut Criterion) {
     // same 128 salted rf-sparse-week cells (4 h horizon — big enough
     // that the ~1× expected ratio isn't swamped by timer noise); the
     // baseline arm runs each node through `Scenario::run` serially,
-    // the fast arm through the batched fleet kernel's min-clock heap.
-    // The fleet kernel executes the same float ops in the same
-    // per-cell order, so the aggregates must be *bit-equal* — the
+    // the fast arm through the fleet kernel's shard loop. The fleet
+    // kernel executes the same float ops in the same per-cell order,
+    // so the aggregates must be *bit-equal* — the
     // agree flag here is exact equality, not a tolerance.
     let fleet_base = {
         let mut s = *find_scenario("rf-sparse-week").expect("registry scenario");
@@ -492,13 +492,7 @@ fn compare_then_bench(c: &mut Criterion) {
     let mut fleet_agg = react_core::FleetAggregate::new(fleet_spec.bins);
     for _ in 0..3 {
         let start = Instant::now();
-        let agg = react_core::FleetSim::from_scenarios(
-            fleet_cells.clone(),
-            fleet_spec.chunk,
-            fleet_spec.bins,
-        )
-        .expect("fleet cells build")
-        .run();
+        let agg = react_core::FleetSim::from_scenarios(fleet_cells.clone(), fleet_spec.bins).run();
         t_fleet = t_fleet.min(start.elapsed().as_secs_f64());
         fleet_agg = agg;
     }
@@ -507,7 +501,7 @@ fn compare_then_bench(c: &mut Criterion) {
     report.push_str(&format!(
         "\nfleet kernel vs scalar runs (128 salted nodes × rf-sparse-week, 4 h)\n\
          \x20 128 independent scalar runs: {:>8.1} ms\n\
-         \x20 batched fleet kernel       : {:>8.1} ms\n\
+         \x20 fleet kernel               : {:>8.1} ms\n\
          \x20 fleet speedup: {fleet_speedup:.2}×  (aggregates bit-equal: {fleet_agree})\n",
         t_scalar * 1e3,
         t_fleet * 1e3,

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Fans one base scenario (default `rf-sparse-week`) out to a salted
-//! fleet via the batched kernel, reduces it shard by shard into
+//! fleet, runs it shard by shard through the fleet kernel into
 //! streaming percentile histograms, prints the summary table, and
 //! writes `target/paper-artifacts/FLEET_report.json`.
 //!

@@ -1,4 +1,4 @@
-//! Fleet-scale batched simulation: one run, 100k+ devices.
+//! Fleet-scale simulation: one run, 100k+ devices.
 //!
 //! The scalar engine answers "how does *one* node behave under this
 //! scenario?". Deployment questions are fleet questions: what is the
@@ -10,25 +10,23 @@
 //!   each re-salted with [`node_salt`] (splitmix64 over the fleet seed
 //!   and node index) so every node sees statistically independent
 //!   environment and workload streams from one committed seed.
-//! * [`FleetSim`] — the batched kernel: a shard of resumable
-//!   [`SimCore`] cells advanced through a min-clock event heap in
-//!   bounded time chunks, so the whole shard strides through the
-//!   horizon together. Because [`SimCore`] stepping is bit-identical
-//!   to a monolithic [`Scenario::run`], fleet aggregates are
+//! * [`FleetSim`] — the fleet kernel: a shard of salted cells, each
+//!   run to completion as a [`SimCore`] in node-index order and folded
+//!   into the shard aggregate as it finishes. Because a [`SimCore`]
+//!   run is exactly a [`Scenario::run`], fleet aggregates are
 //!   *bit-comparable* to N independent scalar runs — the property the
 //!   `fleet_vs_scalar` bench and tier-1 tests pin down.
 //! * [`FleetAggregate`] / [`Histogram`] — streaming reduction. Memory
-//!   is O(live shard + histogram bins), never O(nodes): a 100k-node
-//!   week costs the same RAM as a 1k-node week.
+//!   is O(one live cell per worker + histogram bins), never O(nodes):
+//!   a 100k-node week costs the same RAM as a 1k-node week.
 //! * [`run_fleet`] — the sharded runner: rayon-parallel shards,
 //!   deterministic in-order merge, and JSON checkpoint/resume keyed by
 //!   a config fingerprint so an interrupted 100k run resumes instead
 //!   of restarting.
 //!
 //! [`node_salt`]: react_env::node_salt
+//! [`SimCore`]: crate::SimCore
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -40,18 +38,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::fom::figure_of_merit;
 use crate::scenario::Scenario;
-use crate::sim::SimCore;
 use crate::RunMetrics;
 
 /// Default cells per shard: large enough to amortize per-shard
 /// overhead, small enough that a checkpoint granule is cheap to lose.
 pub const DEFAULT_SHARD_SIZE: usize = 1024;
-
-/// Default heap chunk: each cell is advanced at most this far past the
-/// fleet's minimum clock before re-queueing, keeping the shard's cells
-/// striding through the horizon together (cache-friendly on the shared
-/// scenario structure, and bounds per-cell memory between reductions).
-pub const DEFAULT_CHUNK: Seconds = Seconds::new(3600.0);
 
 // ---------------------------------------------------------------------------
 // Histograms
@@ -234,9 +225,10 @@ impl NodeStats {
     }
 }
 
-/// A fleet cell whose run panicked. The batched kernel catches the
-/// unwind, records the node here, and keeps the shard going — one
-/// diverging cell never takes down its 1023 neighbours.
+/// A fleet cell whose run panicked or whose simulator rejected its
+/// configuration. The fleet kernel catches the failure, records the
+/// node here, and keeps the shard going — one diverging cell never
+/// takes down its 1023 neighbours.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoisonedNode {
     /// Fleet node index.
@@ -494,9 +486,6 @@ pub struct FleetSpec {
     pub fleet_seed: u64,
     /// Cells per shard (checkpoint granule).
     pub shard_size: usize,
-    /// Heap stride: max seconds a cell advances past the fleet's
-    /// minimum clock before re-queueing.
-    pub chunk: Seconds,
     /// Histogram binning shared by every shard.
     pub bins: FleetBins,
     /// Explicit per-cell engine-step watchdog budget. `None` (the
@@ -516,7 +505,6 @@ impl FleetSpec {
             nodes,
             fleet_seed,
             shard_size: DEFAULT_SHARD_SIZE,
-            chunk: DEFAULT_CHUNK,
             bins: FleetBins::default_for(base.horizon),
             step_budget: None,
         }
@@ -548,13 +536,17 @@ impl FleetSpec {
     pub fn fingerprint(&self) -> String {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        // The literal `3600` sits where the retired heap-chunk length
+        // was rendered: keeping it keeps every fingerprint — the
+        // committed `ci/fleet-baseline.json` (`5aeae4d70ce9200a`), the
+        // benchmark's `reference/fleet.tsv` and users' checkpoints —
+        // matching.
         let mut rendered = format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|3600|{}|{}|{}|{}",
             self.base.name,
             self.nodes,
             self.fleet_seed,
             self.shard_size,
-            self.chunk.get(),
             self.base.horizon.get(),
             self.bins.fom_cap,
             self.bins.outage_cap_s,
@@ -580,26 +572,20 @@ impl FleetSpec {
 }
 
 // ---------------------------------------------------------------------------
-// The batched kernel
+// The fleet kernel
 // ---------------------------------------------------------------------------
 
-type Cell<R> = SimCore<
-    Box<dyn react_buffers::EnergyBuffer>,
-    Box<dyn react_workloads::Workload>,
-    Box<dyn react_env::PowerSource>,
-    R,
->;
-
-/// The batched fleet kernel: a set of resumable [`SimCore`] cells
-/// advanced through a min-clock heap so the whole batch strides
-/// through the horizon together.
+/// The fleet kernel: a shard of salted cells run one at a time to
+/// completion, in node-index order.
 ///
-/// Each pop advances the laggard cell by at most one chunk past the
-/// current fleet minimum, then re-queues it. Finished cells drain into
-/// per-node outcome slots; [`FleetSim::run`] folds those into a
-/// [`FleetAggregate`] in *node-index order*, so the order-sensitive
-/// f64 reductions are deterministic no matter how the heap interleaved
-/// execution.
+/// Each [`FleetSimT::step`] builds the next node's
+/// [`SimCore`](crate::SimCore), drives it to the end of its run, and
+/// folds its [`NodeStats`] into the shard's [`FleetAggregate`]. Cells
+/// do not interact, so running them back to back is exactly N scalar
+/// runs folded in node order — the order-sensitive f64 reductions are
+/// deterministic and bit-equal to the scalar reference — and only one
+/// cell is ever alive: memory is O(one live cell per worker +
+/// histogram bins).
 ///
 /// The recorder parameter `R` defaults to [`NullRecorder`], which
 /// compiles every telemetry hook away — the bare [`FleetSim`] alias is
@@ -610,21 +596,15 @@ type Cell<R> = SimCore<
 /// aggregate.
 pub struct FleetSimT<R: Recorder + Default = NullRecorder> {
     scenarios: Vec<Scenario>,
-    cells: Vec<Option<Cell<R>>>,
-    /// Min-heap on (time-bits, node). `f64::to_bits` is monotone for
-    /// the non-negative clocks the engine produces, giving an `Ord`
-    /// key without wrapping floats.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    outcomes: Vec<Option<NodeStats>>,
-    recorders: Vec<Option<R>>,
-    chunk: Seconds,
-    bins: FleetBins,
-    /// Fleet node index of cell 0 (shards report fleet-global indices).
+    /// Index into `scenarios` of the next node to run.
+    next: usize,
+    /// Fleet node index of `scenarios[0]` (shards report fleet-global
+    /// indices).
     first_node: usize,
     /// Explicit watchdog budget; `None` derives per-cell defaults.
     budget_override: Option<u64>,
-    poisoned: Vec<PoisonedNode>,
-    timed_out: Vec<TimedOutNode>,
+    aggregate: FleetAggregate,
+    recorder: R,
 }
 
 /// Default watchdog budget for one cell: four times the fixed-`dt`
@@ -633,154 +613,115 @@ fn default_step_budget(s: &Scenario) -> u64 {
     4 * (s.horizon.get() / s.dt.get()).round() as u64 + 10_000
 }
 
-/// How one heap pop left its cell.
-enum CellAdvance {
-    /// Still live; re-queue at its new clock.
-    Running,
-    /// Ran out of simulation; drain the outcome.
-    Finished,
-    /// Blew the watchdog budget; report and drop.
-    Overran,
+/// How a node's run ended when it did not fail outright.
+enum NodeEnd<R> {
+    /// Ran to completion.
+    Finished(NodeStats, R),
+    /// Blew the watchdog budget.
+    Overran(TimedOutNode),
 }
 
 /// The production fleet kernel: no telemetry, no overhead.
 pub type FleetSim = FleetSimT<NullRecorder>;
 
 impl<R: Recorder + Default> FleetSimT<R> {
-    /// Builds a batch from explicit (already salted) scenarios.
-    ///
-    /// Returns `Err` if any cell's simulator rejects its configuration
-    /// (e.g. an unbounded source with no horizon).
-    pub fn from_scenarios(
-        scenarios: Vec<Scenario>,
-        chunk: Seconds,
-        bins: FleetBins,
-    ) -> Result<Self, String> {
-        let mut cells = Vec::with_capacity(scenarios.len());
-        let mut heap = BinaryHeap::with_capacity(scenarios.len());
-        for (i, sc) in scenarios.iter().enumerate() {
-            let core = sc
-                .simulator()
-                .with_recorder(R::default())
-                .try_into_core()
-                .map_err(|e| format!("fleet cell {i} ({}): {e}", sc.name))?;
-            heap.push(Reverse((core.now().get().to_bits(), i)));
-            cells.push(Some(core));
-        }
-        Ok(FleetSimT {
-            outcomes: vec![None; scenarios.len()],
-            recorders: std::iter::repeat_with(|| None)
-                .take(scenarios.len())
-                .collect(),
+    /// Builds a shard from explicit (already salted) scenarios. Cells
+    /// are built as they run, so a scenario its simulator rejects
+    /// surfaces as a [`PoisonedNode`] from [`FleetSimT::step`].
+    pub fn from_scenarios(scenarios: Vec<Scenario>, bins: FleetBins) -> Self {
+        FleetSimT {
             scenarios,
-            cells,
-            heap,
-            chunk,
-            bins,
+            next: 0,
             first_node: 0,
             budget_override: None,
-            poisoned: Vec::new(),
-            timed_out: Vec::new(),
-        })
+            aggregate: FleetAggregate::new(bins),
+            recorder: R::default(),
+        }
     }
 
-    /// Builds the shard `[start, end)` of a fleet spec.
+    /// Builds the shard `[start, end)` of a fleet spec. Construction
+    /// itself cannot fail: a node whose simulator rejects its
+    /// configuration is reported as a [`PoisonedNode`].
     pub fn from_spec_range(spec: &FleetSpec, start: usize, end: usize) -> Result<Self, String> {
         let scenarios: Vec<Scenario> = (start..end).map(|i| spec.node_scenario(i)).collect();
-        let mut sim = FleetSimT::from_scenarios(scenarios, spec.chunk, spec.bins)?;
+        let mut sim = FleetSimT::from_scenarios(scenarios, spec.bins);
         sim.first_node = start;
         sim.budget_override = spec.step_budget;
         Ok(sim)
     }
 
-    /// Cells still running.
+    /// Nodes not yet finished.
     pub fn live_cells(&self) -> usize {
-        self.heap.len()
+        self.scenarios.len() - self.next
     }
 
-    /// Advances the laggard cell by one chunk. Returns `false` once
-    /// every cell has finished.
+    /// Finishes exactly one node — the lowest-indexed one not yet run —
+    /// and returns whether any nodes remain. Once every node has
+    /// finished this is a no-op returning `false`.
     ///
-    /// The advancement loop runs at `advance()` granularity inside
-    /// `catch_unwind`: a panicking cell becomes a [`PoisonedNode`] and
-    /// a cell that exceeds its engine-step watchdog budget becomes a
-    /// [`TimedOutNode`] — either way the shard keeps going and the
-    /// failure is a reported aggregate entry, not a crashed or hung
-    /// run.
+    /// The node is built and advanced inside `catch_unwind`: a cell
+    /// that panics or whose simulator rejects its configuration becomes
+    /// a [`PoisonedNode`], and a cell that exceeds its engine-step
+    /// watchdog budget becomes a [`TimedOutNode`] — either way the
+    /// shard keeps going and the failure is a reported aggregate entry,
+    /// not a crashed or hung run.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse((_, idx))) = self.heap.pop() else {
+        let Some(&scenario) = self.scenarios.get(self.next) else {
             return false;
         };
-        let cell = self.cells[idx]
-            .as_mut()
-            .expect("heap entry for a drained cell");
-        let limit = cell.now() + self.chunk;
-        let budget = self
-            .budget_override
-            .unwrap_or_else(|| default_step_budget(&self.scenarios[idx]));
-        let advanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-            if cell.engine_steps() >= budget {
-                break CellAdvance::Overran;
+        let node = self.first_node + self.next;
+        self.next += 1;
+        let budget_override = self.budget_override;
+        let ended = std::panic::catch_unwind(move || {
+            let mut cell = scenario
+                .simulator()
+                .with_recorder(R::default())
+                .try_into_core()
+                .map_err(|e| format!("fleet cell {node} ({}): {e}", scenario.name))?;
+            let budget = budget_override.unwrap_or_else(|| default_step_budget(&scenario));
+            loop {
+                if cell.engine_steps() >= budget {
+                    return Ok(NodeEnd::Overran(TimedOutNode {
+                        node: node as f64,
+                        engine_steps: cell.engine_steps() as f64,
+                        sim_time_s: cell.now().get(),
+                    }));
+                }
+                if !cell.advance() {
+                    break;
+                }
             }
-            if !cell.advance() {
-                break CellAdvance::Finished;
+            let (outcome, recorder) = cell.finish_telemetry();
+            Ok(NodeEnd::Finished(
+                NodeStats::from_metrics(&scenario, &outcome.metrics),
+                recorder,
+            ))
+        })
+        .unwrap_or_else(|payload| Err(crate::scenario_report::panic_message(payload)));
+        match ended {
+            Ok(NodeEnd::Finished(stats, recorder)) => {
+                self.aggregate.record(&stats);
+                self.recorder.absorb(recorder);
             }
-            if cell.now() >= limit {
-                break CellAdvance::Running;
-            }
-        }));
-        match advanced {
-            Ok(CellAdvance::Running) => {
-                self.heap.push(Reverse((cell.now().get().to_bits(), idx)));
-            }
-            Ok(CellAdvance::Finished) => {
-                let core = self.cells[idx].take().expect("cell vanished mid-drain");
-                let (outcome, recorder) = core.finish_telemetry();
-                self.outcomes[idx] = Some(NodeStats::from_metrics(
-                    &self.scenarios[idx],
-                    &outcome.metrics,
-                ));
-                self.recorders[idx] = Some(recorder);
-            }
-            Ok(CellAdvance::Overran) => {
-                let core = self.cells[idx].take().expect("cell vanished mid-drain");
-                self.timed_out.push(TimedOutNode {
-                    node: (self.first_node + idx) as f64,
-                    engine_steps: core.engine_steps() as f64,
-                    sim_time_s: core.now().get(),
-                });
-            }
-            Err(payload) => {
-                // The unwound cell is in an unknown state; drop it.
-                self.cells[idx] = None;
-                self.poisoned.push(PoisonedNode {
-                    node: (self.first_node + idx) as f64,
-                    message: crate::scenario_report::panic_message(payload),
-                });
-            }
+            Ok(NodeEnd::Overran(timed_out)) => self.aggregate.timed_out.push(timed_out),
+            Err(message) => self.aggregate.poisoned.push(PoisonedNode {
+                node: node as f64,
+                message,
+            }),
         }
-        !self.heap.is_empty()
+        self.live_cells() > 0
     }
 
-    /// Runs every cell to completion and reduces in node-index order,
-    /// returning the aggregate alongside the fleet-wide recorder
-    /// (per-cell recorders absorbed in node-index order).
+    /// Runs every remaining node to completion, returning the shard
+    /// aggregate alongside the shard-wide recorder (per-cell recorders
+    /// absorbed in node-index order).
     pub fn run_telemetry(mut self) -> (FleetAggregate, R) {
         while self.step() {}
-        let mut agg = FleetAggregate::new(self.bins);
-        for stats in self.outcomes.iter().flatten() {
-            agg.record(stats);
-        }
-        agg.poisoned = self.poisoned;
-        agg.timed_out = self.timed_out;
-        let mut recorder = R::default();
-        for r in self.recorders.into_iter().flatten() {
-            recorder.absorb(r);
-        }
-        (agg, recorder)
+        (self.aggregate, self.recorder)
     }
 
-    /// Runs every cell to completion and reduces in node-index order.
+    /// Runs every remaining node to completion and returns the shard
+    /// aggregate.
     pub fn run(self) -> FleetAggregate {
         self.run_telemetry().0
     }
@@ -1284,7 +1225,6 @@ mod tests {
         base.horizon = Seconds::new(1800.0);
         let mut spec = FleetSpec::new(base, nodes, seed);
         spec.shard_size = 4;
-        spec.chunk = Seconds::new(300.0);
         spec
     }
 

@@ -1,4 +1,4 @@
-//! Fleet-kernel acceptance tests: the batched fleet must be
+//! Fleet-kernel acceptance tests: the fleet kernel must be
 //! *bit-comparable* to independent scalar simulations, scale to
 //! four-digit node counts in test time, and checkpoint/resume without
 //! perturbing a single bit of the aggregate.
@@ -16,7 +16,7 @@ fn base_scenario(horizon_s: f64) -> react_repro::core::Scenario {
 }
 
 /// Folds independent scalar runs of the fleet's cells, shard by shard
-/// in node order — the reference the batched kernel must reproduce.
+/// in node order — the reference the fleet kernel must reproduce.
 fn scalar_reference(spec: &FleetSpec) -> FleetAggregate {
     let mut agg = FleetAggregate::new(spec.bins);
     for shard in 0..spec.shard_count() {
@@ -50,7 +50,7 @@ fn fleet_aggregates_bit_equal_scalar_sweep() {
 }
 
 /// The acceptance-scale property: a 1000-node fleet over a day-class
-/// horizon, batched vs scalar. Aggregate FoM (and every histogram
+/// horizon, fleet kernel vs scalar. Aggregate FoM (and every histogram
 /// bit) must match the 1000 independent runs exactly; the summary's
 /// headline numbers are additionally checked as finite and populated.
 #[test]
@@ -70,21 +70,55 @@ fn thousand_node_fleet_matches_scalar_runs() {
     assert!(fleet.aggregate.fom.max > fleet.aggregate.fom.min);
 }
 
-/// Heap order must not leak into results: radically different chunk
-/// sizes interleave cells in different orders, yet produce the same
-/// bits because each cell's float ops and the reduction order are
-/// fixed.
+/// `FleetSim::step` finishes exactly one node per call, lowest index
+/// first: `live_cells` drops by one per call, `step` reports `false`
+/// once the last node is done (and stays a no-op after), and failed
+/// nodes — watchdog timeouts and rejected configurations alike — come
+/// out in ascending node order.
 #[test]
-fn chunk_size_does_not_change_aggregates() {
-    let spec = FleetSpec::new(base_scenario(1800.0), 9, 5);
-    let cells: Vec<_> = (0..spec.nodes).map(|i| spec.node_scenario(i)).collect();
-    let coarse = FleetSim::from_scenarios(cells.clone(), Seconds::new(1e9), spec.bins)
-        .expect("build")
-        .run();
-    let fine = FleetSim::from_scenarios(cells, Seconds::new(60.0), spec.bins)
-        .expect("build")
-        .run();
-    assert_eq!(coarse, fine);
+fn step_finishes_one_node_per_call_in_node_order() {
+    // A horizon longer than an hour, so a kernel that advances cells
+    // in time slices would leave node 0 live after the first call.
+    let mut spec = FleetSpec::new(base_scenario(7200.0), 8, 13);
+    spec.shard_size = 8;
+    let steps: Vec<u64> = (0..spec.nodes)
+        .map(|i| spec.node_scenario(i).run().metrics.engine_steps)
+        .collect();
+    let mut sorted = steps.clone();
+    sorted.sort_unstable();
+    // A budget between the fastest and slowest nodes: some finish,
+    // some time out.
+    let budget = sorted[spec.nodes / 2];
+    assert!(sorted[0] < budget && budget < sorted[spec.nodes - 1]);
+    spec.step_budget = Some(budget);
+
+    let mut sim = FleetSim::from_spec_range(&spec, 0, spec.nodes).expect("shard");
+    for finished in 1..=spec.nodes {
+        assert_eq!(sim.step(), finished < spec.nodes);
+        assert_eq!(sim.live_cells(), spec.nodes - finished);
+    }
+    assert!(!sim.step());
+    assert_eq!(sim.live_cells(), 0);
+    let agg = sim.run();
+    let timed_out: Vec<f64> = agg.timed_out.iter().map(|t| t.node).collect();
+    let expected: Vec<f64> = (0..spec.nodes)
+        .filter(|&i| steps[i] > budget)
+        .map(|i| i as f64)
+        .collect();
+    assert_eq!(timed_out, expected);
+    assert_eq!(agg.nodes as usize + timed_out.len(), spec.nodes);
+
+    // A node whose simulator rejects its configuration is poisoned in
+    // place, and its neighbours still run.
+    let mut cells: Vec<_> = (0..4).map(|i| spec.node_scenario(i)).collect();
+    for i in [1, 3] {
+        cells[i].dt = Seconds::ZERO;
+    }
+    let agg = FleetSim::from_scenarios(cells, spec.bins).run();
+    let poisoned: Vec<f64> = agg.poisoned.iter().map(|p| p.node).collect();
+    assert_eq!(poisoned, vec![1.0, 3.0]);
+    assert!(agg.poisoned.iter().all(|p| p.message.contains("timestep")));
+    assert_eq!(agg.nodes, 2.0);
 }
 
 /// A run interrupted mid-fleet and resumed from its checkpoint must
