@@ -32,13 +32,18 @@
 //! baseline in `ci/bench-baseline.json` (absolute wall-clock is not
 //! comparable across runners, the speedup ratio is).
 //!
+//! Every comparison is timed by [`time_arms`]: its two arms alternate,
+//! one repetition each, for at least [`MIN_ROUNDS`] rounds and
+//! [`MIN_PAIR_WALL`], and each keeps its fastest repetition, so no gated
+//! ratio rests on a single sample or on one burst of host interference.
+//!
 //! Run with `cargo bench --bench engine`; `-- --test` is the CI smoke
-//! mode (each measurement body runs once, no timing claims).
+//! mode (the criterion bodies run once, no timing claims).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use react_bench::{save_artifact, save_bench_report, BenchReport, BenchScenario};
@@ -98,8 +103,46 @@ impl<B: EnergyBuffer> EnergyBuffer for NoFastPath<B> {
     }
 }
 
-fn single_run(trace: &Arc<PowerTrace>, kernel: KernelMode) -> (f64, u64, u64) {
+/// Host interference on a shared machine comes in stretches of seconds
+/// that slow an arm by up to ~1.8×, and not every arm by the same
+/// factor, so a ratio is only stable between repetitions that both ran
+/// in a quiet stretch. [`time_arms`] alternates a comparison's arms for
+/// at least this long, so that both fastest repetitions can come from
+/// a quiet stretch whenever the window contains one...
+const MIN_PAIR_WALL: Duration = Duration::from_secs(5);
+/// ...and at least this many rounds, however long the arms run.
+const MIN_ROUNDS: u32 = 5;
+
+/// Times a comparison's baseline and fast arms: runs one repetition of
+/// each in turn until there have been [`MIN_ROUNDS`] rounds and the pair
+/// has run for [`MIN_PAIR_WALL`]. Returns each arm's fastest repetition
+/// in seconds with its last output (every arm is deterministic).
+/// Interference only ever adds time, so the minimum is the stable
+/// estimate of an arm's cost.
+fn time_arms<A, B>(
+    mut baseline: impl FnMut() -> A,
+    mut fast: impl FnMut() -> B,
+) -> ((f64, A), (f64, B)) {
+    fn timed<T>(arm: &mut impl FnMut() -> T, best: &mut Duration) -> T {
+        let start = Instant::now();
+        let out = arm();
+        *best = (*best).min(start.elapsed());
+        out
+    }
+    let (mut best_b, mut best_f) = (Duration::MAX, Duration::MAX);
     let start = Instant::now();
+    let mut rounds = 1;
+    let mut out_b = timed(&mut baseline, &mut best_b);
+    let mut out_f = timed(&mut fast, &mut best_f);
+    while rounds < MIN_ROUNDS || start.elapsed() < MIN_PAIR_WALL {
+        out_b = timed(&mut baseline, &mut best_b);
+        out_f = timed(&mut fast, &mut best_f);
+        rounds += 1;
+    }
+    ((best_b.as_secs_f64(), out_b), (best_f.as_secs_f64(), out_f))
+}
+
+fn single_run(trace: &Arc<PowerTrace>, kernel: KernelMode) -> (u64, u64) {
     let out = Experiment::new(BufferKind::Static10mF, WorkloadKind::DataEncryption).run_shared(
         trace,
         None,
@@ -107,11 +150,7 @@ fn single_run(trace: &Arc<PowerTrace>, kernel: KernelMode) -> (f64, u64, u64) {
         None,
         kernel,
     );
-    (
-        start.elapsed().as_secs_f64(),
-        out.metrics.engine_steps,
-        out.metrics.ops_completed,
-    )
+    (out.metrics.engine_steps, out.metrics.ops_completed)
 }
 
 /// Runs one REACT-dominated matrix cell; `fast_path` selects the
@@ -135,22 +174,40 @@ fn controller_cell(
     }
 }
 
+/// Runs one registry scenario through the adaptive kernel, with its
+/// closed-form strides (`fast`) or behind [`NoFastPath`], which forces
+/// every span through fine stepping.
+fn stride_cell(sc: &react_core::Scenario, fast: bool) -> RunMetrics {
+    let replay = react_harvest::PowerReplay::from_source(sc.source(), sc.converter.build());
+    let workload = sc.workload.build_streaming(sc.horizon, sc.workload_seed());
+    if fast {
+        Simulator::new(replay, sc.buffer.build(), workload)
+            .with_timestep(sc.dt)
+            .with_horizon(sc.horizon)
+            .with_gate(sc.gate())
+            .run()
+            .metrics
+    } else {
+        Simulator::new(replay, NoFastPath(sc.buffer.build()), workload)
+            .with_timestep(sc.dt)
+            .with_horizon(sc.horizon)
+            .with_gate(sc.gate())
+            .run()
+            .metrics
+    }
+}
+
 fn compare_then_bench(c: &mut Criterion) {
     let mut report = String::new();
     let mut perf = BenchReport::default();
 
-    // 1. Kernel throughput on one charge-dominated run. Min-of-3 per
-    // arm: the adaptive arm finishes in ~0.1 ms, so a single sample's
-    // jitter would dominate the gated ratio.
+    // 1. Kernel throughput on one charge-dominated run.
     let trace = Arc::new(paper_trace(PaperTrace::RfObstructed).truncated(Seconds::new(120.0)));
-    let best = |kernel: KernelMode| {
-        (0..3)
-            .map(|_| single_run(&trace, kernel))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("three samples")
-    };
-    let (t_fixed, steps_fixed, ops_fixed) = best(KernelMode::FixedDt);
-    let (t_adaptive, steps_adaptive, ops_adaptive) = best(KernelMode::Adaptive);
+    let ((t_fixed, (steps_fixed, ops_fixed)), (t_adaptive, (steps_adaptive, ops_adaptive))) =
+        time_arms(
+            || single_run(&trace, KernelMode::FixedDt),
+            || single_run(&trace, KernelMode::Adaptive),
+        );
     report.push_str(&format!(
         "single run (DE × 10 mF × RF Obs. 120 s)\n\
          \x20 fixed-dt : {:>8.1} ms, {:>8} engine steps, {} ops\n\
@@ -180,22 +237,13 @@ fn compare_then_bench(c: &mut Criterion) {
         react_units::Farads::from_milli(50.0),
         8,
     );
-    let start = Instant::now();
-    let reference = static_size_sweep_with(
-        &sweep_trace,
-        WorkloadKind::DataEncryption,
-        &sizes,
-        SweepOptions::serial_reference(),
+    let sweep = |options| {
+        static_size_sweep_with(&sweep_trace, WorkloadKind::DataEncryption, &sizes, options)
+    };
+    let ((t_serial, reference), (t_parallel, fast)) = time_arms(
+        || sweep(SweepOptions::serial_reference()),
+        || sweep(SweepOptions::default()),
     );
-    let t_serial = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let fast = static_size_sweep_with(
-        &sweep_trace,
-        WorkloadKind::DataEncryption,
-        &sizes,
-        SweepOptions::default(),
-    );
-    let t_parallel = start.elapsed().as_secs_f64();
     let sweep_speedup = t_serial / t_parallel.max(1e-9);
     let agree = reference
         .iter()
@@ -231,22 +279,24 @@ fn compare_then_bench(c: &mut Criterion) {
         BufferKind::Static10mF,
         BufferKind::Static17mF,
     ];
-    let start = Instant::now();
-    let m_ref = ExperimentMatrix::run_serial_reference(
-        WorkloadKind::DataEncryption,
-        &traces,
-        &buffers,
-        calib::DEFAULT_DT,
+    let ((t_serial, m_ref), (t_parallel, m_fast)) = time_arms(
+        || {
+            ExperimentMatrix::run_serial_reference(
+                WorkloadKind::DataEncryption,
+                &traces,
+                &buffers,
+                calib::DEFAULT_DT,
+            )
+        },
+        || {
+            ExperimentMatrix::run_with(
+                WorkloadKind::DataEncryption,
+                &traces,
+                &buffers,
+                calib::DEFAULT_DT,
+            )
+        },
     );
-    let t_serial = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let m_fast = ExperimentMatrix::run_with(
-        WorkloadKind::DataEncryption,
-        &traces,
-        &buffers,
-        calib::DEFAULT_DT,
-    );
-    let t_parallel = start.elapsed().as_secs_f64();
     let matrix_speedup = t_serial / t_parallel.max(1e-9);
     let cells_agree = m_ref.rows.iter().zip(&m_fast.rows).all(|(rr, fr)| {
         rr.cells.iter().zip(&fr.cells).all(|(rc, fc)| {
@@ -294,26 +344,18 @@ fn compare_then_bench(c: &mut Criterion) {
         ),
     ];
     let ctl_buffers = [BufferKind::React, BufferKind::Morphy];
-    let start = Instant::now();
-    let legacy: Vec<RunMetrics> = ctl_traces
-        .iter()
-        .flat_map(|(which, trace)| {
-            ctl_buffers
-                .iter()
-                .map(|&b| controller_cell(trace, *which, b, false))
-        })
-        .collect();
-    let t_legacy = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let fastpath: Vec<RunMetrics> = ctl_traces
-        .iter()
-        .flat_map(|(which, trace)| {
-            ctl_buffers
-                .iter()
-                .map(|&b| controller_cell(trace, *which, b, true))
-        })
-        .collect();
-    let t_fastpath = start.elapsed().as_secs_f64();
+    let ctl_arm = |fast_path: bool| -> Vec<RunMetrics> {
+        ctl_traces
+            .iter()
+            .flat_map(|(which, trace)| {
+                ctl_buffers
+                    .iter()
+                    .map(move |&b| controller_cell(trace, *which, b, fast_path))
+            })
+            .collect()
+    };
+    let ((t_legacy, legacy), (t_fastpath, fastpath)) =
+        time_arms(|| ctl_arm(false), || ctl_arm(true));
     let ctl_speedup = t_legacy / t_fastpath.max(1e-9);
     let ctl_agree = legacy.iter().zip(&fastpath).all(|(l, f)| {
         let (a, b) = (l.ops_completed as f64, f.ops_completed as f64);
@@ -345,31 +387,31 @@ fn compare_then_bench(c: &mut Criterion) {
     // it — same adaptive kernel, but every idle stride stops at a
     // sample-window boundary.
     let week = find_scenario("rf-sparse-week").expect("registry scenario");
-    let start = Instant::now();
-    let streamed = week.run().metrics;
-    let t_stream = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let mat_trace = Arc::new(materialize(
-        &mut week.source(),
-        "rf-sparse-week (materialized)",
-        Seconds::new(0.1),
-        week.horizon,
-    ));
-    let mat_workload = week
-        .workload
-        .build_streaming(week.horizon, week.workload_seed());
-    // Both arms must share the scenario's declared converter (the
-    // registry entry applies an RF rectifier), or the comparison runs
-    // two different physical systems.
-    let materialized = Simulator::new(
-        PowerReplay::new(Arc::clone(&mat_trace), week.converter.build()),
-        week.buffer.build(),
-        mat_workload,
-    )
-    .with_timestep(week.dt)
-    .run()
-    .metrics;
-    let t_materialized = start.elapsed().as_secs_f64();
+    let ((t_materialized, materialized), (t_stream, streamed)) = time_arms(
+        || {
+            let mat_trace = Arc::new(materialize(
+                &mut week.source(),
+                "rf-sparse-week (materialized)",
+                Seconds::new(0.1),
+                week.horizon,
+            ));
+            let mat_workload = week
+                .workload
+                .build_streaming(week.horizon, week.workload_seed());
+            // Both arms must share the scenario's declared converter (the
+            // registry entry applies an RF rectifier), or the comparison runs
+            // two different physical systems.
+            Simulator::new(
+                PowerReplay::new(mat_trace, week.converter.build()),
+                week.buffer.build(),
+                mat_workload,
+            )
+            .with_timestep(week.dt)
+            .run()
+            .metrics
+        },
+        || week.run().metrics,
+    );
     let week_speedup = t_materialized / t_stream.max(1e-9);
     let week_agree = {
         let (a, b) = (
@@ -407,31 +449,8 @@ fn compare_then_bench(c: &mut Criterion) {
     let mob = find_scenario("mobility-week-pf")
         .expect("registry scenario")
         .with_buffer(react_buffers::BufferKind::Dewdrop);
-    let mob_cell = |fast: bool| -> (RunMetrics, f64) {
-        let replay = react_harvest::PowerReplay::from_source(mob.source(), mob.converter.build());
-        let workload = mob
-            .workload
-            .build_streaming(mob.horizon, mob.workload_seed());
-        let start = Instant::now();
-        let metrics = if fast {
-            Simulator::new(replay, mob.buffer.build(), workload)
-                .with_timestep(mob.dt)
-                .with_horizon(mob.horizon)
-                .with_gate(mob.gate())
-                .run()
-                .metrics
-        } else {
-            Simulator::new(replay, NoFastPath(mob.buffer.build()), workload)
-                .with_timestep(mob.dt)
-                .with_horizon(mob.horizon)
-                .with_gate(mob.gate())
-                .run()
-                .metrics
-        };
-        (metrics, start.elapsed().as_secs_f64())
-    };
-    let (legacy_m, t_mob_legacy) = mob_cell(false);
-    let (fast_m, t_mob_fast) = mob_cell(true);
+    let ((t_mob_legacy, legacy_m), (t_mob_fast, fast_m)) =
+        time_arms(|| stride_cell(&mob, false), || stride_cell(&mob, true));
     let mob_speedup = t_mob_legacy / t_mob_fast.max(1e-9);
     let mob_collapse = legacy_m.engine_steps as f64 / fast_m.engine_steps.max(1) as f64;
     let mob_agree = {
@@ -474,28 +493,17 @@ fn compare_then_bench(c: &mut Criterion) {
     let fleet_cells: Vec<_> = (0..fleet_spec.nodes)
         .map(|i| fleet_spec.node_scenario(i))
         .collect();
-    // Min-of-3 per arm: the expected ratio is ~1×, so a single timing
-    // sample's jitter would dominate the gated number.
-    let mut t_scalar = f64::INFINITY;
-    let mut scalar_agg = react_core::FleetAggregate::new(fleet_spec.bins);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let mut agg = react_core::FleetAggregate::new(fleet_spec.bins);
-        for sc in &fleet_cells {
-            let out = sc.run();
-            agg.record(&react_core::NodeStats::from_metrics(sc, &out.metrics));
-        }
-        t_scalar = t_scalar.min(start.elapsed().as_secs_f64());
-        scalar_agg = agg;
-    }
-    let mut t_fleet = f64::INFINITY;
-    let mut fleet_agg = react_core::FleetAggregate::new(fleet_spec.bins);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let agg = react_core::FleetSim::from_scenarios(fleet_cells.clone(), fleet_spec.bins).run();
-        t_fleet = t_fleet.min(start.elapsed().as_secs_f64());
-        fleet_agg = agg;
-    }
+    let ((t_scalar, scalar_agg), (t_fleet, fleet_agg)) = time_arms(
+        || {
+            let mut agg = react_core::FleetAggregate::new(fleet_spec.bins);
+            for sc in &fleet_cells {
+                let out = sc.run();
+                agg.record(&react_core::NodeStats::from_metrics(sc, &out.metrics));
+            }
+            agg
+        },
+        || react_core::FleetSim::from_scenarios(fleet_cells.clone(), fleet_spec.bins).run(),
+    );
     let fleet_speedup = t_scalar / t_fleet.max(1e-9);
     let fleet_agree = fleet_agg == scalar_agg;
     report.push_str(&format!(
@@ -524,26 +532,14 @@ fn compare_then_bench(c: &mut Criterion) {
     // the two-sided gate pins both directions — recording must never
     // become a tax, and the Null path must stay free. Metrics are
     // asserted *bit-equal* across the arms (the telemetry bit-identity
-    // contract, pinned matrix-wide in tests/telemetry.rs). Min-of-3
-    // per arm, like every ~1× ratio here.
-    let mut t_null = f64::INFINITY;
-    let mut null_m = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let m = week.run().metrics;
-        t_null = t_null.min(start.elapsed().as_secs_f64());
-        null_m = Some(m);
-    }
-    let mut t_rec = f64::INFINITY;
-    let mut rec = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let (out, attr) = week.run_attributed();
-        t_rec = t_rec.min(start.elapsed().as_secs_f64());
-        rec = Some((out.metrics, attr));
-    }
-    let (rec_m, attr) = rec.expect("three recorded samples");
-    let null_m = null_m.expect("three null samples");
+    // contract, pinned matrix-wide in tests/telemetry.rs).
+    let ((t_rec, (rec_m, attr)), (t_null, null_m)) = time_arms(
+        || {
+            let (out, attr) = week.run_attributed();
+            (out.metrics, attr)
+        },
+        || week.run().metrics,
+    );
     let tele_identical = rec_m == null_m;
     assert!(
         tele_identical,
@@ -593,35 +589,14 @@ fn compare_then_bench(c: &mut Criterion) {
             .expect("registry scenario")
             .with_buffer(react_buffers::BufferKind::Morphy),
     ];
-    let stride_cell = |sc: &react_core::Scenario, fast: bool| -> (RunMetrics, f64) {
-        let replay = react_harvest::PowerReplay::from_source(sc.source(), sc.converter.build());
-        let workload = sc.workload.build_streaming(sc.horizon, sc.workload_seed());
-        let start = Instant::now();
-        let metrics = if fast {
-            Simulator::new(replay, sc.buffer.build(), workload)
-                .with_timestep(sc.dt)
-                .with_horizon(sc.horizon)
-                .with_gate(sc.gate())
-                .run()
-                .metrics
-        } else {
-            Simulator::new(replay, NoFastPath(sc.buffer.build()), workload)
-                .with_timestep(sc.dt)
-                .with_horizon(sc.horizon)
-                .with_gate(sc.gate())
-                .run()
-                .metrics
-        };
-        (metrics, start.elapsed().as_secs_f64())
-    };
     let mut t_stride_legacy = 0.0;
     let mut t_stride_fast = 0.0;
     let mut stride_legacy_steps = 0u64;
     let mut stride_fast_steps = 0u64;
     let mut stride_agree = true;
     for sc in &stride_cells {
-        let (legacy_m, t_l) = stride_cell(sc, false);
-        let (fast_m, t_f) = stride_cell(sc, true);
+        let ((t_l, legacy_m), (t_f, fast_m)) =
+            time_arms(|| stride_cell(sc, false), || stride_cell(sc, true));
         t_stride_legacy += t_l;
         t_stride_fast += t_f;
         stride_legacy_steps += legacy_m.engine_steps;

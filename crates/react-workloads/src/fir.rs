@@ -73,15 +73,17 @@ impl FirFilter {
     /// Filters a signal (zero-padded convolution, output length equals
     /// input length).
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
+        // Tap-outer, output-inner: `out[i] += tap_k · x[i − k]` with `k`
+        // ascending. Each output still sums its products in the direct
+        // form's order, starting from 0.0, so the result is bit-identical
+        // to `Σ_k tap_k · x[i − k]` while the inner loop is branch-free
+        // and vectorizes. Reassociating the sum or using `mul_add` would
+        // change bits. Taps past the signal's end contribute nothing.
         let mut out = vec![0.0; signal.len()];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (k, &tap) in self.taps.iter().enumerate() {
-                if let Some(&x) = i.checked_sub(k).and_then(|j| signal.get(j)) {
-                    acc += tap * x;
-                }
+        for (k, &tap) in self.taps.iter().enumerate().take(signal.len()) {
+            for (o, &x) in out[k..].iter_mut().zip(signal) {
+                *o += tap * x;
             }
-            *o = acc;
         }
         out
     }
@@ -102,6 +104,42 @@ impl FirFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The direct form: one accumulator per output, taps in order,
+    /// out-of-range samples skipped (zero padding).
+    fn direct_form(taps: &[f64], signal: &[f64]) -> Vec<f64> {
+        (0..signal.len())
+            .map(|i| {
+                let mut acc = 0.0;
+                for (k, &tap) in taps.iter().enumerate() {
+                    if let Some(&x) = i.checked_sub(k).and_then(|j| signal.get(j)) {
+                        acc += tap * x;
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tap-outer loop equals the direct form bit for bit,
+        /// signals shorter than the filter and empty signals included.
+        #[test]
+        fn tap_outer_matches_direct_form(
+            taps in prop::collection::vec(-2.0..2.0f64, 1..=80),
+            signal in prop::collection::vec(-10.0..10.0f64, 0..=200),
+        ) {
+            let f = FirFilter::new(taps.clone());
+            prop_assert_eq!(bits(&f.apply(&signal)), bits(&direct_form(&taps, &signal)));
+        }
+    }
 
     #[test]
     fn lowpass_has_unity_dc_gain() {

@@ -9,11 +9,35 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Generates microphone sample windows.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct Microphone {
     sample_rate: f64,
     seed: u64,
     windows_taken: u64,
+    /// `tones[i]` is sample `i`'s tone term, which is the same in every
+    /// window; only the noise differs. Filled on first use up to the
+    /// longest window acquired so far, so the SC loop stops paying two
+    /// `sin` calls per sample. A pure cache: equality and `Debug` ignore
+    /// it.
+    tones: Vec<f64>,
+}
+
+impl PartialEq for Microphone {
+    fn eq(&self, other: &Self) -> bool {
+        self.sample_rate == other.sample_rate
+            && self.seed == other.seed
+            && self.windows_taken == other.windows_taken
+    }
+}
+
+impl std::fmt::Debug for Microphone {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Microphone")
+            .field("sample_rate", &self.sample_rate)
+            .field("seed", &self.seed)
+            .field("windows_taken", &self.windows_taken)
+            .finish()
+    }
 }
 
 impl Microphone {
@@ -28,6 +52,7 @@ impl Microphone {
             sample_rate,
             seed,
             windows_taken: 0,
+            tones: Vec::new(),
         }
     }
 
@@ -52,7 +77,36 @@ impl Microphone {
     pub fn acquire(&mut self, n: usize) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(self.windows_taken));
         self.windows_taken += 1;
-        let w = 2.0 * std::f64::consts::PI / self.sample_rate;
+        if self.tones.len() < n {
+            let w = 2.0 * std::f64::consts::PI / self.sample_rate;
+            self.tones.extend((self.tones.len()..n).map(|i| tone(w, i)));
+        }
+        // `tone + noise` is how `(a + b) + c` parses, so caching the
+        // tone sum leaves every sample's bits unchanged.
+        self.tones[..n]
+            .iter()
+            .map(|&tone| tone + 0.2 * rng.gen_range(-1.0..1.0))
+            .collect()
+    }
+}
+
+/// Sample `i`'s window-independent tones at angular step `w` rad/sample:
+/// the 440 Hz signal plus the half-amplitude 5 kHz interferer.
+fn tone(w: f64, i: usize) -> f64 {
+    let t = i as f64;
+    (440.0 * w * t).sin() + 0.5 * (5000.0 * w * t).sin()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fir::FirFilter;
+    use proptest::prelude::*;
+
+    /// The uncached formula: every sample's tones recomputed in place.
+    fn uncached(sample_rate: f64, seed: u64, window: u64, n: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(window));
+        let w = 2.0 * std::f64::consts::PI / sample_rate;
         (0..n)
             .map(|i| {
                 let t = i as f64;
@@ -62,12 +116,41 @@ impl Microphone {
             })
             .collect()
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fir::FirFilter;
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Window lengths that grow past and shrink below the cached
+        /// length reproduce the uncached samples bit for bit.
+        #[test]
+        fn cached_tones_match_uncached_formula(
+            seed in any::<u64>(),
+            rate in 1_000.0..48_000.0f64,
+            lengths in prop::collection::vec(0usize..600, 1..8),
+        ) {
+            let mut mic = Microphone::new(rate, seed);
+            for (window, &n) in lengths.iter().enumerate() {
+                let got = mic.acquire(n);
+                prop_assert_eq!(bits(&got), bits(&uncached(rate, seed, window as u64, n)));
+            }
+        }
+    }
+
+    #[test]
+    fn tone_cache_is_invisible_to_eq_and_debug() {
+        let mut warm = Microphone::spu0414(3);
+        warm.acquire(512);
+        let mut cold = Microphone::spu0414(3);
+        cold.acquire(0);
+        assert_eq!(warm, cold);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        assert_eq!(
+            format!("{cold:?}"),
+            "Microphone { sample_rate: 16000.0, seed: 3, windows_taken: 1 }"
+        );
+    }
 
     #[test]
     fn windows_are_deterministic_but_distinct() {
