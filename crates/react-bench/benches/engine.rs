@@ -1,8 +1,7 @@
-//! Engine bench: adaptive kernel + parallel runners vs the fixed-`dt`
-//! serial baseline, plus the controller-aware REACT/Morphy fast path vs
-//! the legacy adaptive kernel that fine-stepped controller buffers.
+//! Engine bench: the adaptive kernel and the parallel runners against
+//! the fixed-`dt` serial reference, which fine-steps every span.
 //!
-//! Prints (and saves under `target/paper-artifacts/engine.txt`) four
+//! Prints (and saves under `target/paper-artifacts/engine.txt`) nine
 //! comparisons:
 //!
 //! 1. single-run kernel throughput (wall-clock and engine steps) for a
@@ -11,19 +10,18 @@
 //!    wall-clock,
 //! 3. a small static trace × buffer experiment matrix, same comparison,
 //! 4. a REACT-dominated matrix (REACT + Morphy cells): the
-//!    controller-aware idle fast path vs the same adaptive kernel with
-//!    the fast path suppressed (PR 1 behavior — controller buffers fell
-//!    back to fine stepping while dark),
+//!    controller-aware strides vs the fixed-`dt` reference,
 //! 5. a week-horizon streaming environment (the `rf-sparse-week`
 //!    registry scenario): the adaptive kernel consuming generative
 //!    segments directly vs the pre-`react-env` workflow of
 //!    materializing the environment into a 100 ms trace and replaying
 //!    it (both adaptive — the ratio isolates streaming vs
 //!    sample-bounded strides),
-//! 6. the mobility-week sleep fast path vs the NoFastPath legacy
-//!    kernel,
+//! 6. the mobility-week sleep fast path vs the fixed-`dt` reference,
 //! 7. the fleet kernel vs the same salted cells run as
-//!    independent scalar simulations (aggregates asserted bit-equal).
+//!    independent scalar simulations (aggregates asserted bit-equal),
+//! 8. step-attribution recording vs the `NullRecorder` default,
+//! 9. the plateau and dead-band strides vs the fixed-`dt` reference.
 //!
 //! Every comparison also lands in
 //! `target/paper-artifacts/BENCH_engine.json` (name, wall-clock,
@@ -47,61 +45,16 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use react_bench::{save_artifact, save_bench_report, BenchReport, BenchScenario};
-use react_buffers::{BufferKind, EnergyBuffer};
-use react_circuit::EnergyLedger;
+use react_buffers::BufferKind;
 use react_core::sweep::{log_spaced_sizes, static_size_sweep_with, SweepOptions};
 use react_core::{
     calib, find_scenario, Experiment, ExperimentMatrix, KernelMode, RunMetrics, Simulator,
     WorkloadKind,
 };
 use react_env::materialize;
-use react_harvest::{Converter, PowerReplay};
+use react_harvest::PowerReplay;
 use react_traces::{paper_trace, PaperTrace, PowerTrace};
-use react_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
-
-/// Forwarding wrapper that hides a buffer's idle fast path, reproducing
-/// the legacy adaptive kernel: the engine fine-steps the buffer while
-/// the MCU is dark instead of handing it whole trace windows.
-struct NoFastPath<B>(B);
-
-impl<B: EnergyBuffer> EnergyBuffer for NoFastPath<B> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn rail_voltage(&self) -> Volts {
-        self.0.rail_voltage()
-    }
-    fn input_voltage(&self) -> Volts {
-        self.0.input_voltage()
-    }
-    fn equivalent_capacitance(&self) -> Farads {
-        self.0.equivalent_capacitance()
-    }
-    fn stored_energy(&self) -> Joules {
-        self.0.stored_energy()
-    }
-    fn usable_energy_above(&self, v_floor: Volts) -> Joules {
-        self.0.usable_energy_above(v_floor)
-    }
-    fn supports_longevity(&self) -> bool {
-        self.0.supports_longevity()
-    }
-    fn capacitance_level(&self) -> u32 {
-        self.0.capacitance_level()
-    }
-    fn reconfiguration_count(&self) -> u64 {
-        self.0.reconfiguration_count()
-    }
-    fn capacitance_dwell(&self) -> Vec<(u32, f64)> {
-        self.0.capacitance_dwell()
-    }
-    fn step(&mut self, input: Watts, load: Amps, dt: Seconds, mcu_running: bool) {
-        self.0.step(input, load, dt, mcu_running)
-    }
-    fn ledger(&self) -> &EnergyLedger {
-        self.0.ledger()
-    }
-}
+use react_units::Seconds;
 
 /// Host interference on a shared machine comes in stretches of seconds
 /// that slow an arm by up to ~1.8×, and not every arm by the same
@@ -151,50 +104,6 @@ fn single_run(trace: &Arc<PowerTrace>, kernel: KernelMode) -> (u64, u64) {
         kernel,
     );
     (out.metrics.engine_steps, out.metrics.ops_completed)
-}
-
-/// Runs one REACT-dominated matrix cell; `fast_path` selects the
-/// controller-aware closed form vs the legacy fine-step fallback.
-fn controller_cell(
-    trace: &Arc<PowerTrace>,
-    which: PaperTrace,
-    buffer: BufferKind,
-    fast_path: bool,
-) -> RunMetrics {
-    let replay = PowerReplay::new(Arc::clone(trace), Converter::ideal());
-    let workload = WorkloadKind::DataEncryption.build(trace, Some(which));
-    if fast_path {
-        Simulator::new(replay, buffer.build(), workload)
-            .run()
-            .metrics
-    } else {
-        Simulator::new(replay, NoFastPath(buffer.build()), workload)
-            .run()
-            .metrics
-    }
-}
-
-/// Runs one registry scenario through the adaptive kernel, with its
-/// closed-form strides (`fast`) or behind [`NoFastPath`], which forces
-/// every span through fine stepping.
-fn stride_cell(sc: &react_core::Scenario, fast: bool) -> RunMetrics {
-    let replay = react_harvest::PowerReplay::from_source(sc.source(), sc.converter.build());
-    let workload = sc.workload.build_streaming(sc.horizon, sc.workload_seed());
-    if fast {
-        Simulator::new(replay, sc.buffer.build(), workload)
-            .with_timestep(sc.dt)
-            .with_horizon(sc.horizon)
-            .with_gate(sc.gate())
-            .run()
-            .metrics
-    } else {
-        Simulator::new(replay, NoFastPath(sc.buffer.build()), workload)
-            .with_timestep(sc.dt)
-            .with_horizon(sc.horizon)
-            .with_gate(sc.gate())
-            .run()
-            .metrics
-    }
 }
 
 fn compare_then_bench(c: &mut Criterion) {
@@ -329,10 +238,10 @@ fn compare_then_bench(c: &mut Criterion) {
     });
 
     // 4. REACT-dominated matrix: the controller cells the ROADMAP
-    // flagged as dominating wall-clock. Baseline is the *legacy*
-    // adaptive kernel (fast path suppressed, so REACT/Morphy fine-step
-    // while dark — PR 1 behavior); fast is the controller-aware closed
-    // form. Both serial, so the ratio is pure kernel speedup.
+    // flagged as dominating wall-clock. Baseline is the fixed-`dt`
+    // reference (REACT/Morphy fine-step while dark); fast is the
+    // controller-aware closed form. Both serial, so the ratio is pure
+    // kernel speedup.
     let ctl_traces = [
         (
             PaperTrace::RfObstructed,
@@ -344,35 +253,39 @@ fn compare_then_bench(c: &mut Criterion) {
         ),
     ];
     let ctl_buffers = [BufferKind::React, BufferKind::Morphy];
-    let ctl_arm = |fast_path: bool| -> Vec<RunMetrics> {
+    let ctl_arm = |kernel: KernelMode| -> Vec<RunMetrics> {
         ctl_traces
             .iter()
             .flat_map(|(which, trace)| {
-                ctl_buffers
-                    .iter()
-                    .map(move |&b| controller_cell(trace, *which, b, fast_path))
+                ctl_buffers.iter().map(move |&b| {
+                    Experiment::new(b, WorkloadKind::DataEncryption)
+                        .run_shared(trace, Some(*which), calib::DEFAULT_DT, None, kernel)
+                        .metrics
+                })
             })
             .collect()
     };
-    let ((t_legacy, legacy), (t_fastpath, fastpath)) =
-        time_arms(|| ctl_arm(false), || ctl_arm(true));
-    let ctl_speedup = t_legacy / t_fastpath.max(1e-9);
-    let ctl_agree = legacy.iter().zip(&fastpath).all(|(l, f)| {
+    let ((t_fixed, fixed), (t_fastpath, fastpath)) = time_arms(
+        || ctl_arm(KernelMode::FixedDt),
+        || ctl_arm(KernelMode::Adaptive),
+    );
+    let ctl_speedup = t_fixed / t_fastpath.max(1e-9);
+    let ctl_agree = fixed.iter().zip(&fastpath).all(|(l, f)| {
         let (a, b) = (l.ops_completed as f64, f.ops_completed as f64);
         (a - b).abs() <= 0.02 * a.max(b) + 2.0
     });
     report.push_str(&format!(
         "REACT-dominated matrix (2 traces × REACT/Morphy × DE)\n\
-         \x20 legacy adaptive (no controller fast path): {:>8.1} ms\n\
-         \x20 controller-aware adaptive                : {:>8.1} ms\n\
+         \x20 fixed-dt reference       : {:>8.1} ms\n\
+         \x20 controller-aware adaptive: {:>8.1} ms\n\
          \x20 controller fast-path speedup: {ctl_speedup:.1}×  (results agree: {ctl_agree})\n",
-        t_legacy * 1e3,
+        t_fixed * 1e3,
         t_fastpath * 1e3,
     ));
     let ctl_steps: u64 = fastpath.iter().map(|m| m.engine_steps).sum();
     perf.scenarios.push(BenchScenario {
         name: "matrix_react_morphy".into(),
-        wall_ms_baseline: t_legacy * 1e3,
+        wall_ms_baseline: t_fixed * 1e3,
         wall_ms_fast: t_fastpath * 1e3,
         speedup: ctl_speedup,
         steps_per_sec: ctl_steps as f64 / t_fastpath.max(1e-9),
@@ -441,36 +354,38 @@ fn compare_then_bench(c: &mut Criterion) {
     // 6. Mobility-week sleep fast path: the commuter-week cell whose
     // LPM3 stretches dominated the scenario-report matrix (~55 M fine
     // steps: the MCU stays lit, responsively asleep, for most of the
-    // week). Baseline is the NoFastPath legacy kernel (no idle *or*
-    // sleep closed forms — every powered millisecond fine-steps); fast
+    // week). Baseline is the fixed-`dt` reference (no idle *or* sleep
+    // closed forms — every powered millisecond fine-steps); fast
     // is the adaptive kernel striding to each workload wake-up. Both
     // serial, Dewdrop cell (static-class physics + its adaptive enable
     // gate, exactly as the report runs it).
     let mob = find_scenario("mobility-week-pf")
         .expect("registry scenario")
         .with_buffer(react_buffers::BufferKind::Dewdrop);
-    let ((t_mob_legacy, legacy_m), (t_mob_fast, fast_m)) =
-        time_arms(|| stride_cell(&mob, false), || stride_cell(&mob, true));
-    let mob_speedup = t_mob_legacy / t_mob_fast.max(1e-9);
-    let mob_collapse = legacy_m.engine_steps as f64 / fast_m.engine_steps.max(1) as f64;
+    let ((t_mob_fixed, fixed_m), (t_mob_fast, fast_m)) = time_arms(
+        || mob.run_with_kernel(KernelMode::FixedDt).metrics,
+        || mob.run_with_kernel(KernelMode::Adaptive).metrics,
+    );
+    let mob_speedup = t_mob_fixed / t_mob_fast.max(1e-9);
+    let mob_collapse = fixed_m.engine_steps as f64 / fast_m.engine_steps.max(1) as f64;
     let mob_agree = {
-        let (a, b) = (fast_m.ops_completed as f64, legacy_m.ops_completed as f64);
+        let (a, b) = (fast_m.ops_completed as f64, fixed_m.ops_completed as f64);
         (a - b).abs() <= 0.02 * a.max(b) + 2.0
     };
     report.push_str(&format!(
         "\nmobility-week sleep fast path (commuter week × PF × Dewdrop)\n\
-         \x20 NoFastPath legacy (fine-steps all on-time): {:>8.1} ms ({} steps)\n\
-         \x20 sleep fast path (wake-hint strides)        : {:>8.1} ms ({} steps)\n\
+         \x20 fixed-dt reference (fine-steps all on-time): {:>8.1} ms ({} steps)\n\
+         \x20 sleep fast path (wake-hint strides)         : {:>8.1} ms ({} steps)\n\
          \x20 sleep speedup: {mob_speedup:.1}× wall-clock, {mob_collapse:.0}× fewer steps  \
          (results agree: {mob_agree})\n",
-        t_mob_legacy * 1e3,
-        legacy_m.engine_steps,
+        t_mob_fixed * 1e3,
+        fixed_m.engine_steps,
         t_mob_fast * 1e3,
         fast_m.engine_steps,
     ));
     perf.scenarios.push(BenchScenario {
         name: "mobility_week_sleep".into(),
-        wall_ms_baseline: t_mob_legacy * 1e3,
+        wall_ms_baseline: t_mob_fixed * 1e3,
         wall_ms_fast: t_mob_fast * 1e3,
         speedup: mob_speedup,
         steps_per_sec: fast_m.engine_steps as f64 / t_mob_fast.max(1e-9),
@@ -578,9 +493,9 @@ fn compare_then_bench(c: &mut Criterion) {
     // comparator band under MCU sleep (formerly ~16k no-closed-form +
     // ~3.5k guard-band fine steps per simulated hour); stormy-day's
     // Morphy cell idles MCU-off between sparse boots. Baseline is the
-    // NoFastPath legacy kernel (no controller closed forms — every
-    // powered or idle span fine-steps); fast is the adaptive kernel
-    // with the full stride stack. Both serial.
+    // fixed-`dt` reference (every powered or idle span fine-steps);
+    // fast is the adaptive kernel with the full stride stack. Both
+    // serial.
     let stride_cells = [
         find_scenario("react-plateau-sc")
             .expect("registry scenario")
@@ -589,37 +504,39 @@ fn compare_then_bench(c: &mut Criterion) {
             .expect("registry scenario")
             .with_buffer(react_buffers::BufferKind::Morphy),
     ];
-    let mut t_stride_legacy = 0.0;
+    let mut t_stride_fixed = 0.0;
     let mut t_stride_fast = 0.0;
-    let mut stride_legacy_steps = 0u64;
+    let mut stride_fixed_steps = 0u64;
     let mut stride_fast_steps = 0u64;
     let mut stride_agree = true;
     for sc in &stride_cells {
-        let ((t_l, legacy_m), (t_f, fast_m)) =
-            time_arms(|| stride_cell(sc, false), || stride_cell(sc, true));
-        t_stride_legacy += t_l;
+        let ((t_l, fixed_m), (t_f, fast_m)) = time_arms(
+            || sc.run_with_kernel(KernelMode::FixedDt).metrics,
+            || sc.run_with_kernel(KernelMode::Adaptive).metrics,
+        );
+        t_stride_fixed += t_l;
         t_stride_fast += t_f;
-        stride_legacy_steps += legacy_m.engine_steps;
+        stride_fixed_steps += fixed_m.engine_steps;
         stride_fast_steps += fast_m.engine_steps;
-        let (a, b) = (fast_m.ops_completed as f64, legacy_m.ops_completed as f64);
+        let (a, b) = (fast_m.ops_completed as f64, fixed_m.ops_completed as f64);
         stride_agree &= (a - b).abs() <= 0.02 * a.max(b) + 2.0;
     }
-    let stride_speedup = t_stride_legacy / t_stride_fast.max(1e-9);
-    let stride_collapse = stride_legacy_steps as f64 / stride_fast_steps.max(1) as f64;
+    let stride_speedup = t_stride_fixed / t_stride_fast.max(1e-9);
+    let stride_collapse = stride_fixed_steps as f64 / stride_fast_steps.max(1) as f64;
     report.push_str(&format!(
         "\nplateau sleep-stride collapse (react-plateau-sc × REACT + stormy-day × Morphy)\n\
-         \x20 NoFastPath legacy (fine-steps all spans): {:>8.1} ms ({} steps)\n\
-         \x20 staged/guard-band/dead-band strides     : {:>8.1} ms ({} steps)\n\
+         \x20 fixed-dt reference (fine-steps all spans): {:>8.1} ms ({} steps)\n\
+         \x20 staged/guard-band/dead-band strides      : {:>8.1} ms ({} steps)\n\
          \x20 stride speedup: {stride_speedup:.1}× wall-clock, {stride_collapse:.0}× fewer steps  \
          (results agree: {stride_agree})\n",
-        t_stride_legacy * 1e3,
-        stride_legacy_steps,
+        t_stride_fixed * 1e3,
+        stride_fixed_steps,
         t_stride_fast * 1e3,
         stride_fast_steps,
     ));
     perf.scenarios.push(BenchScenario {
         name: "plateau_sleep_stride".into(),
-        wall_ms_baseline: t_stride_legacy * 1e3,
+        wall_ms_baseline: t_stride_fixed * 1e3,
         wall_ms_fast: t_stride_fast * 1e3,
         speedup: stride_speedup,
         steps_per_sec: stride_fast_steps as f64 / t_stride_fast.max(1e-9),

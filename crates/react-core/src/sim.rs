@@ -5,16 +5,22 @@
 //! * [`KernelMode::FixedDt`] — the reference loop: every run advances in
 //!   uniform `dt` steps (1 ms by default). Simple, slow, and the ground
 //!   truth the adaptive kernel is validated against.
-//! * [`KernelMode::Adaptive`] (default) — while the power gate is open
-//!   and the MCU is off, nothing in the system needs millisecond
-//!   resolution: the buffer just integrates harvested charge. The kernel
-//!   hands whole zero-order-hold trace windows to
-//!   [`EnergyBuffer::idle_advance`], which static buffers solve in
-//!   closed form (stepping directly to the predicted enable-voltage
-//!   crossing, quantized back onto the `dt` grid), collapsing ~10⁵-step
-//!   charge phases into a handful of strides. The moment the MCU runs —
-//!   or a buffer has no closed form — the kernel drops back to fine
-//!   `dt` steps, so workload semantics are bit-identical.
+//! * [`KernelMode::Adaptive`] (default) — two regimes need no
+//!   millisecond resolution, and the kernel hands each whole
+//!   zero-order-hold source windows to a closed-form stride:
+//!   - **idle** (gate open, MCU off): the buffer just integrates
+//!     harvested charge. [`EnergyBuffer::idle_advance`] steps directly
+//!     to the predicted enable-voltage crossing, collapsing ~10⁵-step
+//!     charge phases into a handful of strides;
+//!   - **sleep** (gate closed, MCU in LPM3 on a quiet workload): the
+//!     buffer integrates against the standing sleep draw.
+//!     [`EnergyBuffer::powered_advance`] steps to the workload's next
+//!     wake-up (a time, or for §3.4.1 energy waits a rail voltage) or
+//!     the predicted brown-out crossing.
+//!
+//!   Crossings are quantized back onto the `dt` grid. The moment the
+//!   MCU runs — or a buffer has no closed form — the kernel drops back
+//!   to fine `dt` steps, so workload semantics are unchanged.
 //!
 //! The engine is generic over the buffer and workload
 //! (`Simulator<B, W>`), monomorphizing the hot loop for concrete types;
@@ -30,7 +36,7 @@ use react_mcu::{Mcu, McuSpec, PowerGate, PowerMode};
 use react_telemetry::{
     EventKind, FallbackReason, NullRecorder, Recorder, Regime, SimEvent, StrideKind,
 };
-use react_units::{Amps, Seconds, Volts};
+use react_units::{Amps, Seconds, Volts, Watts};
 use react_workloads::{LoadDemand, WakeHint, Workload, WorkloadEnv};
 
 use crate::audit::{AuditConfig, AuditSnapshot, InvariantAuditor};
@@ -68,7 +74,8 @@ const RADIO_SENSE_CURRENT: Amps = Amps::new(1.0e-3);
 pub enum KernelMode {
     /// Uniform fixed-`dt` stepping (the validation reference).
     FixedDt,
-    /// Analytic coarse strides while the system is off, fine `dt` steps
+    /// Analytic coarse strides while the system is off (idle) or the
+    /// MCU sleeps between workload wake-ups (sleep), fine `dt` steps
     /// while the MCU runs or near gate transitions.
     #[default]
     Adaptive,
@@ -365,8 +372,14 @@ pub struct SimCore<
     hard_end: Seconds,
     software_overhead: f64,
     feedback: bool,
-    fast_path: bool,
-    sleep_fast: bool,
+    /// Whether each stride regime — `[idle, sleep]`, indexed by
+    /// [`Regime::index`] — may take closed-form strides: the adaptive
+    /// kernel on a buffer that has that regime's closed form.
+    stride_enabled: [bool; 2],
+    /// Auditor verdicts per stride regime (indexed like
+    /// `stride_enabled`): a tripped regime's fast path is permanently
+    /// degraded to fine stepping for the rest of the run.
+    stride_degraded: [bool; 2],
     sleep_peripheral: Amps,
     t: Seconds,
     probe_acc: Seconds,
@@ -401,10 +414,6 @@ pub struct SimCore<
     stuck: Option<bool>,
     /// Online stride auditor; `None` runs unaudited.
     auditor: Option<InvariantAuditor>,
-    /// Auditor verdicts: a tripped regime's fast path is permanently
-    /// degraded to fine stepping for the rest of the run.
-    idle_degraded: bool,
-    sleep_degraded: bool,
     finished: bool,
     metrics: RunMetrics,
     series: Vec<VoltageSample>,
@@ -500,14 +509,17 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             }
             None => Vec::new(),
         };
-        // The idle fast path is only worth taking for buffers whose
-        // MCU-off physics integrate in closed form; everything else
-        // fine-steps through the main loop, keeping step counts honest.
-        let fast_path = kernel == KernelMode::Adaptive && buffer.supports_idle_fast_path();
-        // The sleep fast path is its mirror image for MCU-**on**,
-        // workload-idle LPM3 stretches (§2.1: responsive sleep is where
-        // batteryless nodes spend almost all of their on-time).
-        let sleep_fast = kernel == KernelMode::Adaptive && buffer.supports_powered_fast_path();
+        // A stride regime is only worth taking for buffers whose
+        // physics in it integrate in closed form: MCU-off charging
+        // (idle) and MCU-on, workload-idle LPM3 stretches (sleep — §2.1:
+        // responsive sleep is where batteryless nodes spend almost all
+        // of their on-time). Everything else fine-steps through the
+        // main loop, keeping step counts honest.
+        let adaptive = kernel == KernelMode::Adaptive;
+        let stride_enabled = [
+            adaptive && buffer.supports_idle_fast_path(),
+            adaptive && buffer.supports_powered_fast_path(),
+        ];
         let base_enable = gate.enable_voltage();
         let last_reconfig_count = buffer.reconfiguration_count();
         let tele_reconfig_count = last_reconfig_count;
@@ -525,8 +537,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             hard_end,
             software_overhead,
             feedback,
-            fast_path,
-            sleep_fast,
+            stride_enabled,
+            stride_degraded: [false; 2],
             // Peripheral current of the most recent sleep demand — what
             // the workload holds powered through the stretch (mic bias,
             // wake-up receiver). Valid whenever the MCU sits in `Sleep`,
@@ -560,8 +572,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             derate: 1.0,
             stuck: None,
             auditor: audit.map(InvariantAuditor::new),
-            idle_degraded: false,
-            sleep_degraded: false,
             finished: false,
             metrics,
             series,
@@ -621,22 +631,12 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
     /// span (static efficiency curve, OVP above the rail clamp), so
     /// one conversion at the stride's entry voltage covers the
     /// closed-form integration.
-    fn stride_window(&mut self) -> (react_units::Watts, Seconds) {
+    fn stride_window(&mut self) -> (Watts, Seconds) {
         let (p_rail, window_end) = if self.t >= self.trace_end {
-            (react_units::Watts::ZERO, self.hard_end)
+            (Watts::ZERO, self.hard_end)
         } else {
             let seg = self.source.segment(self.t);
-            let p = self
-                .replay
-                .rail_power_from(seg.power, self.buffer.input_voltage());
-            (p, seg.end.min(self.trace_end))
-        };
-        // Harvester derating scales rail power; the healthy 1.0 path
-        // leaves the value untouched bit-for-bit.
-        let p_rail = if self.derate != 1.0 {
-            react_units::Watts::new(p_rail.get() * self.derate)
-        } else {
-            p_rail
+            (self.rail_power(seg.power), seg.end.min(self.trace_end))
         };
         let mut end = window_end.min(self.hard_end);
         // Closed forms never integrate across a pending fault event —
@@ -650,6 +650,22 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             end = end.min(self.t + aud.max_stride());
         }
         (p_rail, end)
+    }
+
+    /// The rail power the converter delivers from `available` source
+    /// power at the buffer's input node (for REACT the lowest connected
+    /// element, §3.2.1), scaled by any harvester derating. Fine steps
+    /// and strides share it, so both see the same faulted rail; the
+    /// healthy 1.0 path leaves the value untouched bit-for-bit.
+    fn rail_power(&self, available: Watts) -> Watts {
+        let p = self
+            .replay
+            .rail_power_from(available, self.buffer.input_voltage());
+        if self.derate != 1.0 {
+            Watts::new(p.get() * self.derate)
+        } else {
+            p
+        }
     }
 
     /// Applies every fault event whose time has arrived, in schedule
@@ -681,11 +697,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                         .detector
                         .as_ref()
                         .map_or(Volts::new(0.0), |d| d.gate_raise());
-                    let eff = react_circuit::offset_enable(
-                        self.base_enable + raise,
-                        self.comparator_offset,
-                        self.gate.brownout_voltage(),
-                    );
+                    let eff = self.effective_enable(raise);
                     self.gate.set_enable_voltage(eff);
                 }
                 FaultKind::HarvesterDerate { factor } => {
@@ -712,7 +724,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
     fn audit_stride(
         &mut self,
         snap: Option<AuditSnapshot>,
-        p_rail: react_units::Watts,
+        p_rail: Watts,
         advanced: Seconds,
         window: Seconds,
         regime: Regime,
@@ -722,10 +734,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             return;
         };
         if aud.check(&snap, &self.buffer, p_rail, advanced, window, self.dt) {
-            match regime {
-                Regime::Idle => self.idle_degraded = true,
-                _ => self.sleep_degraded = true,
-            }
+            self.stride_degraded[regime.index()] = true;
             if R::ENABLED {
                 self.recorder.record(&SimEvent {
                     t: self.t.get(),
@@ -752,18 +761,45 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         }
     }
 
-    /// Reports controller reconfigurations to the feedback channel by
-    /// delta — they can land inside fine steps or coarse strides, and
-    /// the count is the one signal both kernels agree on exactly. The
-    /// event is stamped at the current clock, at or after the physical
-    /// switch, so an adversary acting on it can never reach back
-    /// before it.
+    /// Reports controller reconfigurations to the feedback channel
+    /// and the recorder by delta — they can land inside fine steps or
+    /// coarse strides, and the count is the one signal both kernels
+    /// agree on exactly. The event is stamped at the current clock, at
+    /// or after the physical switch, so an adversary acting on it can
+    /// never reach back before it.
     fn note_reconfigs(&mut self) {
         if self.feedback {
             let rc = self.buffer.reconfiguration_count();
             if rc > self.last_reconfig_count {
                 self.last_reconfig_count = rc;
                 self.source.observe(VictimEvent::Reconfig { at: self.t });
+            }
+        }
+        if R::ENABLED {
+            let rc = self.buffer.reconfiguration_count();
+            tele_note_reconfigs(
+                &mut self.recorder,
+                rc,
+                &mut self.tele_reconfig_count,
+                self.t.get(),
+                false,
+            );
+        }
+    }
+
+    /// Advances the probe clock by `advanced` and, when a probe
+    /// interval has elapsed, records the rail state stamped at `stamp`.
+    fn probe(&mut self, advanced: Seconds, stamp: Seconds, on: bool) {
+        if let Some(interval) = self.probe_interval {
+            self.probe_acc += advanced;
+            if self.probe_acc >= interval {
+                self.probe_acc = Seconds::ZERO;
+                self.series.push(VoltageSample {
+                    time_s: stamp.get(),
+                    voltage_v: self.buffer.rail_voltage().get(),
+                    on,
+                    capacitance_f: self.buffer.equivalent_capacitance().get(),
+                });
             }
         }
     }
@@ -788,31 +824,10 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.engine_steps += 1;
         self.t += advanced;
         self.note_reconfigs();
-        if R::ENABLED {
-            let rc = self.buffer.reconfiguration_count();
-            tele_note_reconfigs(
-                &mut self.recorder,
-                rc,
-                &mut self.tele_reconfig_count,
-                self.t.get(),
-                false,
-            );
-        }
         if on {
             self.metrics.on_time += advanced;
         }
-        if let Some(interval) = self.probe_interval {
-            self.probe_acc += advanced;
-            if self.probe_acc >= interval {
-                self.probe_acc = Seconds::ZERO;
-                self.series.push(VoltageSample {
-                    time_s: (self.t - self.dt).max(Seconds::ZERO).get(),
-                    voltage_v: self.buffer.rail_voltage().get(),
-                    on,
-                    capacitance_f: self.buffer.equivalent_capacitance().get(),
-                });
-            }
-        }
+        self.probe(advanced, (self.t - self.dt).max(Seconds::ZERO), on);
         self.check_termination();
     }
 
@@ -847,14 +862,14 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         // on garbage) and is counted once per contiguous span.
         let v_ok = v.get().is_finite();
 
-        // Telemetry: classify this iteration from its *entry* state
-        // (the gate/MCU may flip mid-step). Fine steps coalesce into
-        // spans by (regime, reason); refusal reasons are captured at
-        // the refusing site below, structural reasons derived at the
-        // bottom. All of it folds away under `NullRecorder`.
-        let entry_regime = if !R::ENABLED {
-            Regime::Active // unused when recording is off
-        } else if !self.gate.is_closed() {
+        // Classify this iteration from its *entry* state (the gate/MCU
+        // may flip mid-step): the regime picks the stride to try and,
+        // for telemetry, the fine-step class. Fine steps coalesce into
+        // spans by (regime, reason); refusal reasons come back from
+        // `try_stride`, structural reasons are derived at the bottom of
+        // the fine step. All of the telemetry folds away under
+        // `NullRecorder`.
+        let entry_regime = if !self.gate.is_closed() {
             Regime::Idle
         } else if self.mcu.is_running() && self.mcu.mode() == PowerMode::Sleep {
             Regime::Sleep
@@ -863,7 +878,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         };
         let entry_poll_debt = if R::ENABLED { self.poll_debt } else { 0.0 };
         let t_entry = if R::ENABLED { self.t.get() } else { 0.0 };
-        let mut fine_reason: Option<FallbackReason> = None;
 
         // A defensive hold releases only once its backoff timer has
         // expired *and* the rail has recovered to the effective
@@ -882,197 +896,10 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             }
         }
 
-        // Adaptive idle fast path: gate open, MCU dark — the only
-        // dynamics are buffer physics (plus, for controller-driven
-        // buffers, threshold-sparse controller decisions) under a
-        // piecewise-constant input, which `idle_advance` integrates
-        // in one stride.
-        if self.fast_path
-            && !self.idle_degraded
-            && v_ok
-            && !self.gate.is_closed()
-            && !self.mcu.is_powered()
-            && v < self.gate.enable_voltage()
-        {
-            let (p_rail, window_end) = self.stride_window();
-            let mut stride_end = window_end;
-            if let Some(interval) = self.probe_interval {
-                // Never integrate across a probe boundary.
-                stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
-            }
-            let stride = stride_end - self.t;
-            if p_rail.get().is_finite() && stride >= calib::MIN_COARSE_STRIDE.max(dt + dt) {
-                let snap = self
-                    .auditor
-                    .is_some()
-                    .then(|| AuditSnapshot::capture(&self.buffer));
-                let advanced =
-                    self.buffer
-                        .idle_advance(p_rail, stride, self.gate.enable_voltage(), dt);
-                if advanced.get() > 0.0 {
-                    self.commit_stride(advanced, false);
-                    self.audit_stride(snap, p_rail, advanced, stride, Regime::Idle);
-                    // A stride that parked on the enable crossing has
-                    // *discovered* the boot edge: service the gate at
-                    // the commit so the next iteration fine-steps in
-                    // the regime it actually runs in (the MCU's first
-                    // boot step) instead of burning an idle fine step
-                    // on the hand-off.
-                    let v_now = self.buffer.rail_voltage();
-                    if !self.finished && v_now.get().is_finite() {
-                        self.service_gate(v_now);
-                        // The serviced edge can flip the termination
-                        // condition (a trace-end brown-out must end the
-                        // run here, not after another stride).
-                        self.check_termination();
-                    }
-                    return !self.finished;
-                }
-                if R::ENABLED {
-                    fine_reason = self
-                        .buffer
-                        .take_fallback()
-                        .or(Some(FallbackReason::NoClosedForm));
-                }
-            } else if R::ENABLED {
-                fine_reason = Some(if !p_rail.get().is_finite() {
-                    FallbackReason::NanGuard
-                } else {
-                    FallbackReason::ShortStride
-                });
-            }
-        }
-
-        // Adaptive sleep fast path: gate closed, MCU asleep in LPM3
-        // on a quiet workload — the only dynamics are buffer physics
-        // under the standing sleep draw (MCU sleep current plus the
-        // held peripheral), which `powered_advance` integrates in
-        // closed form up to the workload's next wake-up, the end of
-        // the converter-composed source segment, or the predicted
-        // brown-out crossing (quantized onto the `dt` grid). A
-        // pending poll-service debt keeps the stretch on fine steps
-        // (the serviced step runs the CPU active).
-        if self.sleep_fast
-            && !self.sleep_degraded
-            && v_ok
-            && self.gate.is_closed()
-            && self.mcu.is_running()
-            && self.mcu.mode() == PowerMode::Sleep
-            && self.poll_debt < dt.get()
-            && v > self.gate.brownout_voltage()
-        {
-            let env = WorkloadEnv {
-                now: self.t,
-                dt,
-                rail_voltage: v,
-                usable_energy: self
-                    .buffer
-                    .usable_energy_above(self.gate.brownout_voltage()),
-                supports_longevity: self.buffer.supports_longevity(),
-            };
-            // Resolve the hint to a wake *time* plus, for §3.4.1
-            // energy waits, a wake *voltage* — the rail level at
-            // which the buffer's usable pool first covers the
-            // workload's threshold, where the stride must stop so
-            // the per-step energy check observes the crossing.
-            let far = Seconds::new(f64::INFINITY);
-            // During a defensive backoff hold the workload is
-            // pinned in LPM3 regardless of its own schedule: the
-            // stride runs to the hold's expiry or, once the timer
-            // is out, to the rail's recovery crossing at the
-            // effective enable level (where the loop-top release
-            // check clears the hold).
-            let held_wake = match self.hold_until {
-                Some(h) if h > self.t => Some((h, None)),
-                Some(_) => Some((far, Some(self.gate.enable_voltage()))),
-                None => None,
-            };
-            let wake = if held_wake.is_some() {
-                held_wake
-            } else {
-                match self.workload.next_wake(&env) {
-                    WakeHint::Immediate => None,
-                    // A stale hint (at or behind the clock) gets the
-                    // fine-step treatment rather than a zero stride.
-                    WakeHint::At(tw) if tw > self.t => Some((tw, None)),
-                    WakeHint::At(_) => None,
-                    WakeHint::WhenEnergy { energy, deadline } => {
-                        if env.usable_energy >= energy || deadline.is_some_and(|d| d <= self.t) {
-                            // Already awake (or an event is due): the
-                            // wake-up itself runs on fine steps.
-                            None
-                        } else {
-                            self.buffer
-                                .rail_voltage_for_usable(energy, self.gate.brownout_voltage())
-                                .map(|v_wake| (deadline.unwrap_or(far), Some(v_wake)))
-                        }
-                    }
-                    WakeHint::Never => Some((far, None)),
-                }
-            };
-            if let Some((wake, v_wake)) = wake {
-                let (p_rail, window_end) = self.stride_window();
-                let mut stride_end = window_end.min(wake);
-                if let Some(interval) = self.probe_interval {
-                    // Never integrate across a probe boundary.
-                    stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
-                }
-                let stride = stride_end - self.t;
-                if p_rail.get().is_finite() && stride >= calib::MIN_COARSE_STRIDE.max(dt + dt) {
-                    let i_sleep = self.mcu.running_current() + self.sleep_peripheral;
-                    let snap = self
-                        .auditor
-                        .is_some()
-                        .then(|| AuditSnapshot::capture(&self.buffer));
-                    let advanced = self
-                        .buffer
-                        .powered_advance(
-                            p_rail,
-                            i_sleep,
-                            stride,
-                            self.gate.brownout_voltage(),
-                            v_wake,
-                            dt,
-                        )
-                        .unwrap_or(Seconds::ZERO);
-                    if advanced.get() > 0.0 {
-                        self.commit_stride(advanced, true);
-                        self.audit_stride(snap, p_rail, advanced, stride, Regime::Sleep);
-                        // Symmetric to the idle path: a stride that
-                        // parked on the brown-out crossing services
-                        // the gate edge at the commit, so the MCU
-                        // powers down here and the next iteration
-                        // coarse-strides the dark rail instead of
-                        // spending a sleep fine step on the hand-off.
-                        let v_now = self.buffer.rail_voltage();
-                        if !self.finished && v_now.get().is_finite() {
-                            self.service_gate(v_now);
-                            // The serviced edge can flip the
-                            // termination condition (a trace-end
-                            // brown-out must end the run here).
-                            self.check_termination();
-                        }
-                        return !self.finished;
-                    }
-                    if R::ENABLED {
-                        fine_reason = self
-                            .buffer
-                            .take_fallback()
-                            .or(Some(FallbackReason::NoClosedForm));
-                    }
-                } else if R::ENABLED {
-                    fine_reason = Some(if !p_rail.get().is_finite() {
-                        FallbackReason::NanGuard
-                    } else {
-                        FallbackReason::ShortStride
-                    });
-                }
-            } else if R::ENABLED {
-                // The wake hint resolved to "now": immediate, stale,
-                // energy-satisfied, or deadline-due.
-                fine_reason = Some(FallbackReason::TransitionDue);
-            }
-        }
+        let fine_reason = match self.try_stride(entry_regime, v, v_ok) {
+            Ok(()) => return !self.finished,
+            Err(reason) => reason,
+        };
 
         self.engine_steps += 1;
 
@@ -1080,6 +907,166 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.service_gate(v);
 
         self.post_gate_fine_step(v, dt, entry_regime, entry_poll_debt, t_entry, fine_reason)
+    }
+
+    /// Tries one closed-form coarse stride in `regime`, whose entry
+    /// rail voltage is `v`.
+    ///
+    /// * **Idle** — gate open, MCU dark: the only dynamics are buffer
+    ///   physics (plus, for controller-driven buffers, threshold-sparse
+    ///   controller decisions) under a piecewise-constant input, which
+    ///   [`EnergyBuffer::idle_advance`] integrates up to the end of the
+    ///   window or the predicted enable crossing.
+    /// * **Sleep** — gate closed, MCU asleep in LPM3 on a quiet
+    ///   workload: buffer physics under the standing sleep draw (MCU
+    ///   sleep current plus the held peripheral), which
+    ///   [`EnergyBuffer::powered_advance`] integrates up to the
+    ///   workload's next wake-up ([`SimCore::sleep_wake`]), the end of
+    ///   the window, or the predicted brown-out crossing. A pending
+    ///   poll-service debt keeps the stretch on fine steps (the
+    ///   serviced step runs the CPU active).
+    /// * **Active** never strides.
+    ///
+    /// Crossings are quantized onto the `dt` grid. `Ok` means the
+    /// stride committed; `Err` carries the refusal reason for the fine
+    /// step's telemetry, `None` when the regime was not eligible at all
+    /// (the fine step derives a structural reason instead).
+    fn try_stride(
+        &mut self,
+        regime: Regime,
+        v: Volts,
+        v_ok: bool,
+    ) -> Result<(), Option<FallbackReason>> {
+        let dt = self.dt;
+        let ready = match regime {
+            Regime::Idle => !self.mcu.is_powered() && v < self.gate.enable_voltage(),
+            Regime::Sleep => self.poll_debt < dt.get() && v > self.gate.brownout_voltage(),
+            Regime::Active => return Err(None),
+        };
+        let i = regime.index();
+        if !(ready && v_ok && self.stride_enabled[i] && !self.stride_degraded[i]) {
+            return Err(None);
+        }
+        // Idle strides have no wake bound. The sleep wake is resolved
+        // before the source window is read.
+        let wake = match regime {
+            Regime::Sleep => Some(
+                self.sleep_wake(v)
+                    // Immediate, stale, energy-satisfied, or deadline-due.
+                    .ok_or(Some(FallbackReason::TransitionDue))?,
+            ),
+            _ => None,
+        };
+        let (p_rail, window_end) = self.stride_window();
+        let mut stride_end = window_end;
+        if let Some((t_wake, _)) = wake {
+            stride_end = stride_end.min(t_wake);
+        }
+        if let Some(interval) = self.probe_interval {
+            // Never integrate across a probe boundary.
+            stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
+        }
+        let stride = stride_end - self.t;
+        if !p_rail.get().is_finite() {
+            return Err(Some(FallbackReason::NanGuard));
+        }
+        if stride < calib::MIN_COARSE_STRIDE.max(dt + dt) {
+            return Err(Some(FallbackReason::ShortStride));
+        }
+        let snap = self
+            .auditor
+            .is_some()
+            .then(|| AuditSnapshot::capture(&self.buffer));
+        let advanced = match wake {
+            None => self
+                .buffer
+                .idle_advance(p_rail, stride, self.gate.enable_voltage(), dt),
+            Some((_, v_wake)) => {
+                let i_sleep = self.mcu.running_current() + self.sleep_peripheral;
+                self.buffer
+                    .powered_advance(
+                        p_rail,
+                        i_sleep,
+                        stride,
+                        self.gate.brownout_voltage(),
+                        v_wake,
+                        dt,
+                    )
+                    .unwrap_or(Seconds::ZERO)
+            }
+        };
+        if advanced.get() > 0.0 {
+            self.commit_stride(advanced, regime == Regime::Sleep);
+            self.audit_stride(snap, p_rail, advanced, stride, regime);
+            // A stride that parked on a gate crossing (the enable edge
+            // while idle, the brown-out while asleep) has *discovered*
+            // it: service the gate at the commit, so the next iteration
+            // steps in the regime the system actually runs in (the
+            // MCU's first boot step, or a dark-rail stride) instead of
+            // burning a fine step on the hand-off.
+            let v_now = self.buffer.rail_voltage();
+            if !self.finished && v_now.get().is_finite() {
+                self.service_gate(v_now);
+                // The serviced edge can flip the termination condition
+                // (a trace-end brown-out must end the run here, not
+                // after another stride).
+                self.check_termination();
+            }
+            return Ok(());
+        }
+        Err(if R::ENABLED {
+            self.buffer
+                .take_fallback()
+                .or(Some(FallbackReason::NoClosedForm))
+        } else {
+            None
+        })
+    }
+
+    /// Resolves the sleeping workload's wake hint to a wake *time*
+    /// plus, for §3.4.1 energy waits, a wake *voltage* — the rail level
+    /// at which the buffer's usable pool first covers the workload's
+    /// threshold, where the stride must stop so the per-step energy
+    /// check observes the crossing. `None` when the wake-up is due now.
+    fn sleep_wake(&self, v: Volts) -> Option<(Seconds, Option<Volts>)> {
+        let far = Seconds::new(f64::INFINITY);
+        // During a defensive backoff hold the workload is pinned in
+        // LPM3 regardless of its own schedule: the stride runs to the
+        // hold's expiry or, once the timer is out, to the rail's
+        // recovery crossing at the effective enable level (where the
+        // loop-top release check clears the hold).
+        match self.hold_until {
+            Some(h) if h > self.t => return Some((h, None)),
+            Some(_) => return Some((far, Some(self.gate.enable_voltage()))),
+            None => {}
+        }
+        let brownout = self.gate.brownout_voltage();
+        let env = WorkloadEnv {
+            now: self.t,
+            dt: self.dt,
+            rail_voltage: v,
+            usable_energy: self.buffer.usable_energy_above(brownout),
+            supports_longevity: self.buffer.supports_longevity(),
+        };
+        match self.workload.next_wake(&env) {
+            WakeHint::Immediate => None,
+            // A stale hint (at or behind the clock) gets the fine-step
+            // treatment rather than a zero stride.
+            WakeHint::At(tw) if tw > self.t => Some((tw, None)),
+            WakeHint::At(_) => None,
+            WakeHint::WhenEnergy { energy, deadline } => {
+                if env.usable_energy >= energy || deadline.is_some_and(|d| d <= self.t) {
+                    // Already awake (or an event is due): the wake-up
+                    // itself runs on fine steps.
+                    None
+                } else {
+                    self.buffer
+                        .rail_voltage_for_usable(energy, brownout)
+                        .map(|v_wake| (deadline.unwrap_or(far), Some(v_wake)))
+                }
+            }
+            WakeHint::Never => Some((far, None)),
+        }
     }
 
     /// Services the power gate against the rail voltage `v` at the
@@ -1303,34 +1290,20 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
 
         // Harvest + buffer physics. The converter delivers *power*;
         // the buffer converts it to charge at its input node's
-        // voltage (for REACT the lowest connected element, §3.2.1).
-        // Past the horizon the environment is disconnected (see the
-        // idle path above).
+        // voltage. Past the horizon the environment is disconnected
+        // (see `stride_window`).
         let input = if self.t >= self.trace_end {
-            react_units::Watts::ZERO
+            Watts::ZERO
         } else {
             let available = self.source.power_at(self.t);
-            let p = self
-                .replay
-                .rail_power_from(available, self.buffer.input_voltage());
-            // Harvester derating, matching `stride_window` so both
-            // kernels (and both step shapes) see the same faulted rail.
-            if self.derate != 1.0 {
-                react_units::Watts::new(p.get() * self.derate)
-            } else {
-                p
-            }
+            self.rail_power(available)
         };
         // Invariant guard, input side: a non-finite harvest sample
         // is sanitized to zero before it can poison the buffer
         // state. Together with the rail-voltage check above, one
         // contiguous offending span counts as one fallback.
         let input_ok = input.get().is_finite();
-        let input = if input_ok {
-            input
-        } else {
-            react_units::Watts::ZERO
-        };
+        let input = if input_ok { input } else { Watts::ZERO };
         if v_ok && input_ok {
             self.guard_active = false;
         } else if !self.guard_active {
@@ -1340,33 +1313,13 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.buffer
             .step(input, mcu_current + peripheral, dt, self.mcu.is_running());
         self.note_reconfigs();
-        if R::ENABLED {
-            let rc = self.buffer.reconfiguration_count();
-            tele_note_reconfigs(
-                &mut self.recorder,
-                rc,
-                &mut self.tele_reconfig_count,
-                self.t.get(),
-                false,
-            );
-        }
 
         // Accounting.
-        if self.gate.is_closed() {
+        let on = self.gate.is_closed();
+        if on {
             self.metrics.on_time += dt;
         }
-        if let Some(interval) = self.probe_interval {
-            self.probe_acc += dt;
-            if self.probe_acc >= interval {
-                self.probe_acc = Seconds::ZERO;
-                self.series.push(VoltageSample {
-                    time_s: self.t.get(),
-                    voltage_v: self.buffer.rail_voltage().get(),
-                    on: self.gate.is_closed(),
-                    capacitance_f: self.buffer.equivalent_capacitance().get(),
-                });
-            }
-        }
+        self.probe(dt, self.t, on);
 
         self.t += dt;
         if R::ENABLED {
@@ -1374,30 +1327,20 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             // annotated: the entry state makes fine stepping inherent.
             let reason = fine_reason.unwrap_or(match entry_regime {
                 Regime::Active => FallbackReason::McuActive,
-                Regime::Idle => {
+                regime => {
+                    let i = regime.index();
                     if !v_ok {
                         FallbackReason::NanGuard
-                    } else if !self.fast_path {
+                    } else if !self.stride_enabled[i] {
                         FallbackReason::FastPathOff
-                    } else if self.idle_degraded {
+                    } else if self.stride_degraded[i] {
                         FallbackReason::AuditDegraded
-                    } else {
-                        // Enable crossing due (boot edge) or a
-                        // post-brown-out MCU-discharge transient.
-                        FallbackReason::TransitionDue
-                    }
-                }
-                Regime::Sleep => {
-                    if !v_ok {
-                        FallbackReason::NanGuard
-                    } else if !self.sleep_fast {
-                        FallbackReason::FastPathOff
-                    } else if self.sleep_degraded {
-                        FallbackReason::AuditDegraded
-                    } else if entry_poll_debt >= dt.get() {
+                    } else if regime == Regime::Sleep && entry_poll_debt >= dt.get() {
                         FallbackReason::PollDebt
                     } else {
-                        // Brown-out crossing due, or a wake/hold edge.
+                        // A gate crossing is due (the boot edge, or the
+                        // brown-out), or a post-brown-out MCU-discharge
+                        // transient, or a wake/hold edge.
                         FallbackReason::TransitionDue
                     }
                 }

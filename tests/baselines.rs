@@ -6,8 +6,14 @@
 
 use std::path::Path;
 
-use react_repro::core::{find_scenario, FleetBins, FleetReport, FleetSpec, ScenarioReport};
+use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
+use react_repro::core::{
+    build_report_with, find_scenario, report_scenarios, FleetBins, FleetReport, FleetSpec,
+    RunOutcome, ScenarioReport,
+};
+use react_repro::telemetry::{FallbackReason, Regime};
 use react_repro::units::Seconds;
+use serde::Value;
 
 fn load<T: serde::Deserialize>(name: &str) -> T {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci").join(name);
@@ -38,4 +44,51 @@ fn fleet_baseline_parses_and_matches_its_fingerprint() {
     spec.bins = FleetBins::calibrated(&base, seed);
     assert_eq!(spec.fingerprint(), report.fingerprint);
     assert_eq!(report.aggregate.summary(), report.summary);
+}
+
+/// The attribution budget parses the way its gate reads it: every entry
+/// has string `cell`/`class` and a numeric `steps_per_hour`, every
+/// class is `<regime> fine:<reason>` in the telemetry vocabulary, and
+/// every named cell (other than the matrix-wide `*`) is a cell of the
+/// report matrix.
+#[test]
+fn attribution_baseline_names_known_classes_and_cells() {
+    let baseline: Value = load("attribution-baseline.json");
+    let Ok(Value::Arr(entries)) = baseline.field("entries") else {
+        panic!("attribution-baseline.json: `entries` must be an array");
+    };
+    assert!(!entries.is_empty(), "attribution baseline has no entries");
+    // The report's cell ids, expanded exactly as the matrix expands
+    // them (the runner is a stub: only the ids are needed).
+    let matrix = build_report_with(
+        &report_scenarios(),
+        &REPORT_BUFFERS,
+        &REPORT_SEEDS,
+        false,
+        &|_| RunOutcome::default(),
+    );
+    let ids: Vec<String> = matrix.cells.iter().map(|c| c.id()).collect();
+    for entry in entries {
+        let text = |key: &str| match entry.field(key) {
+            Ok(Value::Str(s)) => s.clone(),
+            _ => panic!("attribution entry {entry:?}: missing string `{key}`"),
+        };
+        let (cell, class) = (text("cell"), text("class"));
+        assert!(
+            matches!(entry.field("steps_per_hour"), Ok(Value::Num(_))),
+            "attribution entry {cell} {class}: missing numeric `steps_per_hour`"
+        );
+        let known = class.split_once(" fine:").is_some_and(|(regime, reason)| {
+            Regime::ALL.iter().any(|r| r.label() == regime)
+                && FallbackReason::ALL.iter().any(|r| r.label() == reason)
+        });
+        assert!(
+            known,
+            "attribution class {class:?} is not `<regime> fine:<reason>`"
+        );
+        assert!(
+            cell == "*" || ids.contains(&cell),
+            "attribution cell {cell:?} is not a report-matrix cell"
+        );
+    }
 }
